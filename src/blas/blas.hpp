@@ -53,26 +53,16 @@ void trsv(Uplo uplo, Trans trans, Diag diag, ConstMatrixView a, double* x);
 
 // ---- Level 3 -------------------------------------------------------------
 
-/// Matrix-multiply implementation behind gemm().
-///   Packed — cache-blocked MC/KC/NC loop nest over packed A/B panels with
-///            an 8x4 register-tiled micro-kernel; the default. All four
-///            Trans combinations pack into one uniform layout.
-///   Ref    — the original unblocked column-sweep kernels; kept as the A/B
-///            baseline (mirrors prt::ChannelImpl::Mutex) and used for
-///            shapes too small to amortize packing.
-enum class GemmImpl { Ref, Packed };
-
-/// Select the process-wide gemm implementation (thread-safe knob; reads are
-/// relaxed atomics on the gemm hot path).
-void set_gemm_impl(GemmImpl impl);
-GemmImpl gemm_impl();
-
-/// C := alpha * op(A) * op(B) + beta * C.
+/// C := alpha * op(A) * op(B) + beta * C. Products above
+/// gemm_small_max_work() run the packed path — a cache-blocked MC/KC/NC
+/// loop nest over packed A/B panels with a register-tiled micro-kernel;
+/// smaller ones run gemm_small().
 void gemm(Trans ta, Trans tb, double alpha, ConstMatrixView a,
           ConstMatrixView b, double beta, MatrixView c);
 
-/// The two implementations, directly callable (for A/B tests and benches);
-/// same contract as gemm() but never re-dispatch.
+/// gemm_ref is the unblocked column-sweep reference — the test oracle,
+/// never dispatched to by gemm(); gemm_packed is the packed path, directly
+/// callable. Same contract as gemm().
 void gemm_ref(Trans ta, Trans tb, double alpha, ConstMatrixView a,
               ConstMatrixView b, double beta, MatrixView c);
 void gemm_packed(Trans ta, Trans tb, double alpha, ConstMatrixView a,
@@ -88,9 +78,9 @@ void gemm_small(Trans ta, Trans tb, double alpha, ConstMatrixView a,
 void gemm_small(Trans ta, Trans tb, float alpha, ConstMatrixViewF a,
                 ConstMatrixViewF b, float beta, MatrixViewF c);
 
-/// Largest m*n*k the Packed dispatch routes to gemm_small instead of the
-/// packed loop nest. Derived from the active kernel table's register tile
-/// (64 micro-tile volumes, i.e. 64*mr*nr), not a hard-coded constant: the
+/// Largest m*n*k gemm() routes to gemm_small instead of the packed loop
+/// nest. Derived from the active kernel table's register tile (64
+/// micro-tile volumes, i.e. 64*mr*nr), not a hard-coded constant: the
 /// packing sweep amortizes later on tables with bigger tiles.
 long long gemm_small_max_work_f64();
 long long gemm_small_max_work_f32();

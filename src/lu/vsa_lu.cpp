@@ -115,7 +115,7 @@ void update_fire(VdpContext& ctx, const UpdateCfg& cfg) {
 class Builder {
  public:
   Builder(const TileMatrix& a, const VsaLuOptions& opt)
-      : a_(a), opt_(opt), vsa_(make_config(opt)) {
+      : a_(a), opt_(opt), vsa_(opt) {
     store_ = std::make_shared<LuStore>(TileMatrix(a.rows(), a.cols(), a.nb()));
     vsa_.set_global(store_);
     if (opt.transport == prt::Transport::Socket) {
@@ -204,26 +204,6 @@ class Builder {
   }
 
  private:
-  static prt::Vsa::Config make_config(const VsaLuOptions& opt) {
-    prt::Vsa::Config c;
-    c.nodes = opt.nodes;
-    c.workers_per_node = opt.workers_per_node;
-    c.scheduling = opt.scheduling;
-    c.work_stealing = opt.work_stealing;
-    c.trace = opt.trace;
-    c.watchdog_seconds = opt.watchdog_seconds;
-    c.graph_check = opt.graph_check;
-    c.transport = opt.transport;
-    c.reliable_transport = opt.reliable_transport;
-    c.fault_plan = opt.fault_plan;
-    c.retransmit_timeout_us = opt.retransmit_timeout_us;
-    c.max_retransmits = opt.max_retransmits;
-    c.max_respawns = opt.max_respawns;
-    c.replay_log_bytes = opt.replay_log_bytes;
-    c.heartbeat_timeout_seconds = opt.heartbeat_timeout_seconds;
-    return c;
-  }
-
   void feed_if_first_step(const Tuple& dst, int k, int j) {
     if (k > 0) return;  // wired by the producing S(k-1, j)
     std::vector<Packet> initial;

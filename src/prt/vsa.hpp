@@ -10,6 +10,7 @@
 
 #include <any>
 #include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -54,7 +55,7 @@ class Vsa {
     bool trace = false;
     /// Abort the run (with a stuck-VDP diagnostic) if no VDP fires for
     /// this long. 0 disables the watchdog.
-    double watchdog_seconds = 30.0;
+    double watchdog_seconds = 60.0;
     /// Microseconds an idle worker spins on its atomic wake flag before
     /// parking on the condition variable (adaptive spin-then-park). The
     /// spin keeps fine-grained small-nb pipelines out of the kernel; the
@@ -63,11 +64,6 @@ class Vsa {
     /// per worker, 0 when oversubscribed (spinning on a shared core only
     /// steals time from the worker holding the packet).
     int spin_us = -1;
-    /// Queue implementation behind every channel. The lock-free SPSC
-    /// default is legitimized by the GraphCheck-enforced one-producer-per-
-    /// input-slot invariant (the producer is either the source VDP's
-    /// serialized firings or the node proxy — never both).
-    ChannelImpl channel_impl = ChannelImpl::Spsc;
     /// Run prt::GraphCheck over the constructed graph at the top of
     /// run() and throw (before spawning any thread) if it finds an
     /// error-severity diagnostic — turning wiring and packet-balance bugs
@@ -302,17 +298,41 @@ class Vsa {
  private:
   friend class GraphCheck;  ///< read-only static analysis of the graph
 
+  /// What a forked node process adds to the node runtime; all empty for
+  /// the in-process transport.
+  struct NodeHooks {
+    /// Called on every watchdog tick while local workers run; returning
+    /// true cancels the run (the parent process said so).
+    std::function<bool()> tick;
+    /// A progress source the watchdog counts beside firings (frames
+    /// received off the wire: a node waiting on its peers is not stuck).
+    std::function<long long()> progress;
+    /// Called after the local workers are joined, before the proxies
+    /// stop: a node process keeps serving its peers here until every node
+    /// is done.
+    std::function<void()> drain;
+  };
+
   void validate_and_wire();
   void worker_loop(Worker& w);
   void worker_loop_stealing(Worker& w, Node& n);
   void proxy_loop(Node& n);
   void fire(Vdp& v, Worker& w);
+  /// The node runtime over comm_ for the ranks [lo, hi) this process
+  /// hosts — all of them in-process, one in a forked node process: spawn
+  /// and seed workers, start proxies, watchdog, wake and join. Returns
+  /// the ranks' RunStats; on a cancelled run (cancelled_ set) the caller
+  /// builds the RunReport instead.
+  RunStats run_nodes(int lo, int hi, const NodeHooks& hooks);
   /// `only_node` >= 0 restricts the stuck-VDP census to that node — a
   /// forked node process reports only what it was responsible for.
   RunReport make_run_report(int only_node = -1) const;
-  /// Socket transport: fork one process per node, run the control plane
-  /// (heartbeats, death detection, respawn + rejoin orchestration), merge
-  /// child epilogues into RunStats (or re-throw a child failure).
+  /// First line of a RunError for a RunReport::reason.
+  std::string failure_header(const std::string& reason) const;
+  /// Socket transport (vsa_process.cpp): fork one process per node, run
+  /// the control plane (heartbeats, death detection, respawn + rejoin
+  /// orchestration), merge child epilogues into RunStats (or re-throw a
+  /// child failure).
   RunStats run_socket();
   /// Body of one forked node process; never returns (always _exit).
   /// `incarnation` is 0 for the original fork, bumped per respawn;
@@ -358,7 +378,11 @@ class Vsa {
   std::unique_ptr<net::Comm> comm_;
   std::unique_ptr<trace::Recorder> recorder_;
   std::atomic<long long> fires_{0};
-  std::atomic<int> workers_running_{0};
+  /// Local workers still running. The last one to exit notifies join_cv_,
+  /// so the watchdog loop joins at once instead of on its next tick.
+  std::mutex join_mu_;
+  int workers_running_ = 0;  ///< guarded by join_mu_
+  std::condition_variable join_cv_;
   std::atomic<bool> cancelled_{false};
   std::atomic<bool> done_{false};
   bool ran_ = false;

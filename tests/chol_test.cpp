@@ -235,5 +235,21 @@ TEST(VsaChol, RejectsNonSquare) {
   EXPECT_THROW(chol::vsa_cholesky(a, opt), Error);
 }
 
+// The options are a prt::Vsa::Config: a runtime field set on them reaches
+// the run. With coalescing off every inter-node frame is its own wire
+// message.
+TEST(VsaChol, RuntimeOptionsReachTheRun) {
+  Matrix a = chol::random_spd(20, 31);
+  const TileMatrix at = TileMatrix::from_dense(a.view(), 5);
+  chol::VsaCholOptions opt;
+  opt.nodes = 2;
+  EXPECT_GT(chol::vsa_cholesky(at, opt).stats.aggregates_sent, 0);
+  opt.coalesce_bytes = 0;
+  const auto run = chol::vsa_cholesky(at, opt);
+  EXPECT_GT(run.stats.remote_messages, 0);
+  EXPECT_EQ(run.stats.aggregates_sent, 0);
+  EXPECT_EQ(run.stats.wire_messages, run.stats.remote_messages);
+}
+
 }  // namespace
 }  // namespace pulsarqr

@@ -193,5 +193,21 @@ TEST(VsaLu, FireCountMatchesStructure) {
   EXPECT_EQ(run.stats.fires, expect);
 }
 
+// The options are a prt::Vsa::Config: a runtime field set on them reaches
+// the run. With coalescing off every inter-node frame is its own wire
+// message.
+TEST(VsaLu, RuntimeOptionsReachTheRun) {
+  Matrix a = lu::random_diag_dominant(20, 20, 31);
+  const TileMatrix at = TileMatrix::from_dense(a.view(), 5);
+  lu::VsaLuOptions opt;
+  opt.nodes = 2;
+  EXPECT_GT(lu::vsa_lu(at, opt).stats.aggregates_sent, 0);
+  opt.coalesce_bytes = 0;
+  const auto run = lu::vsa_lu(at, opt);
+  EXPECT_GT(run.stats.remote_messages, 0);
+  EXPECT_EQ(run.stats.aggregates_sent, 0);
+  EXPECT_EQ(run.stats.wire_messages, run.stats.remote_messages);
+}
+
 }  // namespace
 }  // namespace pulsarqr

@@ -179,5 +179,44 @@ TEST(QrBatch, RejectsMismatchedSpansAndSmallTFactors) {
                Error);
 }
 
+/// The Error message of running a one-matrix batch under `opt`, or "" if
+/// the call succeeds.
+std::string batch_error(const vsaqr::BatchOptions& opt) {
+  Matrix a(8, 4), t(4, 4);
+  fill_random(a.view(), 11);
+  const MatrixView av[] = {a.view()};
+  const MatrixView tv[] = {t.view()};
+  try {
+    vsaqr::qr_batch(std::span<const MatrixView>(av),
+                    std::span<const MatrixView>(tv), opt);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The options are a prt::Vsa::Config: a runtime field set on them reaches
+// the run, whose own validation rejects a kill fault without the Socket
+// transport.
+TEST(QrBatch, RuntimeOptionsReachTheRun) {
+  vsaqr::BatchOptions opt;
+  opt.ib = 4;
+  EXPECT_EQ(batch_error(opt), "");
+  opt.fault_plan.kill_rank = 0;
+  EXPECT_NE(batch_error(opt).find("kill faults require the Socket"),
+            std::string::npos);
+}
+
+// The batch writes its results through the caller's views and has no
+// process hooks: under the Socket transport they would stay in the node
+// processes, so the call is refused up front.
+TEST(QrBatch, RejectsSocketTransport) {
+  vsaqr::BatchOptions opt;
+  opt.ib = 4;
+  opt.transport = prt::Transport::Socket;
+  EXPECT_NE(batch_error(opt).find("only the in-process transport"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace pulsarqr

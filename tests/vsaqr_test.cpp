@@ -7,6 +7,7 @@
 // difference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "blas/blas.hpp"
@@ -30,8 +31,23 @@ struct Case {
   prt::Scheduling sched;
 };
 
-void expect_bitwise_equal(const ref::TreeQrFactors& a,
-                          const ref::TreeQrFactors& b) {
+/// T factors are an ib-by-n tile of upper-triangular ib-blocks, one per
+/// inner panel; the strict lower part of each block is kernel scratch, so
+/// only the triangles are compared.
+int t_diffs(ConstMatrixView got, ConstMatrixView want, int ib) {
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.cols, want.cols);
+  int diffs = 0;
+  for (int j = 0; j < std::min(got.cols, want.cols); ++j) {
+    const int rows = std::min({j % ib + 1, got.rows, want.rows});
+    for (int i = 0; i < rows; ++i) diffs += got(i, j) != want(i, j);
+  }
+  return diffs;
+}
+
+/// `a` is the VSA result: non-const so that a T slot the array never wrote
+/// reads as zeros (and differs) instead of tripping an assertion.
+void expect_bitwise_equal(ref::TreeQrFactors& a, const ref::TreeQrFactors& b) {
   ASSERT_EQ(a.a.rows(), b.a.rows());
   ASSERT_EQ(a.a.cols(), b.a.cols());
   int diffs = 0;
@@ -42,6 +58,18 @@ void expect_bitwise_equal(const ref::TreeQrFactors& a,
                       << "): " << a.a.at(i, j) << " vs " << b.a.at(i, j);
         if (++diffs >= 5) break;
       }
+    }
+  }
+  // Every T factor the plan writes: geqrt into tg, tsqrt/ttqrt into tt.
+  for (const plan::Op& op : b.plan.ops()) {
+    if (op.kind == plan::OpKind::Geqrt) {
+      EXPECT_EQ(t_diffs(a.tg.t(op.i, op.j), b.tg.t(op.i, op.j), b.ib), 0)
+          << "geqrt T factor differs at tile (" << op.i << "," << op.j << ")";
+    } else if (op.kind == plan::OpKind::Tsqrt ||
+               op.kind == plan::OpKind::Ttqrt) {
+      EXPECT_EQ(t_diffs(a.tt.t(op.k, op.j), b.tt.t(op.k, op.j), b.ib), 0)
+          << "tsqrt/ttqrt T factor differs at tile (" << op.k << "," << op.j
+          << ")";
     }
   }
 }
@@ -281,6 +309,25 @@ TEST(VsaQr, RejectsBadIb) {
   vsaqr::TreeQrOptions opt;
   opt.ib = 5;  // > nb
   EXPECT_THROW(vsaqr::tree_qr(a, opt), Error);
+}
+
+// The options are a prt::Vsa::Config: a runtime field set on them reaches
+// the run. With coalescing off every inter-node frame is its own wire
+// message.
+TEST(VsaQr, RuntimeOptionsReachTheRun) {
+  Matrix a0(40, 10);
+  fill_random(a0.view(), 91);
+  const TileMatrix a = TileMatrix::from_dense(a0.view(), 5);
+  vsaqr::TreeQrOptions opt;
+  opt.tree = {TreeKind::BinaryOnFlat, 2, BoundaryMode::Shifted};
+  opt.ib = 2;
+  opt.nodes = 2;
+  EXPECT_GT(vsaqr::tree_qr(a, opt).stats.aggregates_sent, 0);
+  opt.coalesce_bytes = 0;
+  const auto run = vsaqr::tree_qr(a, opt);
+  EXPECT_GT(run.stats.remote_messages, 0);
+  EXPECT_EQ(run.stats.aggregates_sent, 0);
+  EXPECT_EQ(run.stats.wire_messages, run.stats.remote_messages);
 }
 
 }  // namespace

@@ -1,17 +1,27 @@
 // pqr — command-line driver for the pulsarqr library.
 //
 //   pqr factor   --m 4096 --n 512 [--nb 128 --ib 32 --tree hier --h 6
-//                 --boundary shifted --nodes 2 --workers 2 --sched lazy
-//                 --trace trace.csv --check --seed 1 --graph-check 0
-//                 --channel spsc|mutex --spin-us -1|0|50 --gemm packed|ref
-//                 --chaos-seed 42 --drop 0.05 --dup 0.05 --reorder 0.1
-//                 --delay 0.1 --delay-us 200 --reliable
-//                 --rto-us 2000 --max-retransmits 10
-//                 --coalesce-bytes 65536 --flush-us 50 --no-packet-pool
-//                 --transport inproc|socket
-//                 --max-respawns 0 --replay-log-mb 64 --hb-timeout 10
-//                 --kill-node -1 --kill-after 0
-//                 --kernel-isa auto|avx512|avx2|neon|scalar]
+//                 --boundary shifted --trace trace.csv --check --seed 1
+//                 RUNTIME]
+//   pqr solve    --m 4096 --n 512 [--nrhs 1 ... RUNTIME]
+//   pqr chol     --n 1024 [--nb 128 --seed 1 RUNTIME]
+//   pqr lu       --n 1024 [--nb 128 --seed 1 RUNTIME]
+//   pqr batch    --batch 1024 --m 64 --n 16 [--ib 32 --chunk 0 --f32
+//                 --seed 1 --check RUNTIME]
+//   pqr simulate --m 368640 --n 4608 [--nb 192 --ib 48 --tree hier --h 6
+//                 --nodes 768]
+//
+// RUNTIME is the prt::Vsa::Config every driver's options carry, with the
+// same flags for every command (batch runs in-process only):
+//   --nodes 1 --workers 2 --sched lazy|aggressive --graph-check 1
+//   --spin-us -1|0|50 --transport inproc|socket
+//   --chaos-seed 42 --drop 0.05 --dup 0.05 --reorder 0.1 --delay 0.1
+//   --delay-us 200 --reliable --rto-us 2000 --max-retransmits 10
+//   --coalesce-bytes 65536 --flush-us 50
+//   --max-respawns 0 --replay-log-mb 64 --hb-timeout 10
+//   --kill-node -1 --kill-after 0
+// and, for every command, --kernel-isa auto|avx512|avx2|neon|scalar and
+// --no-packet-pool.
 //
 // The chaos flags install a deterministic FaultPlan on the inter-node
 // transport (same seed => same fault schedule); --reliable layers the
@@ -19,24 +29,15 @@
 // Under --transport socket, --kill-node R --kill-after F SIGKILLs rank R's
 // node process after F firings and --max-respawns N lets the run absorb up
 // to N such deaths by respawning (requires --reliable).
-//   pqr batch    --batch 1024 --m 64 --n 16 [--ib 32 --nodes 1 --workers 2
-//                 --chunk 0 --f32 --seed 1 --check --graph-check 0
-//                 --kernel-isa ...]
 //
 // `batch` factors N independent small matrices through ONE fused VSA plan
 // (see src/vsaqr/qr_batch.hpp) and reports jobs/sec plus per-matrix latency
 // percentiles; --check verifies each result is bitwise identical to a
 // sequential geqrt loop.
-//   pqr solve    --m 4096 --n 512 [--nrhs 1 ...]
-//   pqr chol     --n 1024 [--nb 128 --nodes 2 --workers 2
-//                 --transport inproc|socket --reliable ...]
-//   pqr lu       --n 1024 [--nb 128 --nodes 2 --workers 2
-//                 --transport inproc|socket --reliable ...]
-//   pqr simulate --m 368640 --n 4608 [--nb 192 --ib 48 --tree hier --h 6
-//                 --nodes 768]
 //
-// `factor`, `solve`, `chol` and `lu` run the real PULSAR runtime on this
-// host; `simulate` replays a task graph on the Kraken machine model.
+// `factor`, `solve`, `chol`, `lu` and `batch` run the real PULSAR runtime
+// on this host; `simulate` replays a task graph on the Kraken machine
+// model.
 
 // GCC 12's -Wrestrict emits a known false positive on inlined std::string
 // copies under -O3 (GCC PR105651); the flag-map code trips it.
@@ -131,43 +132,52 @@ plan::PlanConfig tree_config(const Args& a) {
   return cfg;
 }
 
-/// Transport / chaos / reliability / crash-recovery flags, shared by the
-/// factor, solve, chol and lu commands (their option structs carry
-/// identically-named fields).
-template <class Opt>
-void transport_options(Opt& opt, const Args& a) {
+/// The runtime flags (see the header), shared by every command that runs
+/// the PULSAR runtime: each driver's options are a prt::Vsa::Config.
+void runtime_options(prt::Vsa::Config& cfg, const Args& a) {
+  cfg.nodes = a.geti("nodes", cfg.nodes);
+  cfg.workers_per_node = a.geti("workers", cfg.workers_per_node);
+  cfg.scheduling = a.gets("sched", "lazy") == "aggressive"
+                       ? prt::Scheduling::Aggressive
+                       : prt::Scheduling::Lazy;
+  cfg.graph_check = a.geti("graph-check", 1) != 0;
+  cfg.spin_us = a.geti("spin-us", cfg.spin_us);
   // Transport backend: in-process mailbox threads (default) or one forked
   // OS process per node over Unix-domain sockets.
   const std::string transport = a.gets("transport", "inproc");
   if (transport == "socket") {
-    opt.transport = prt::Transport::Socket;
+    cfg.transport = prt::Transport::Socket;
   } else if (transport != "inproc") {
     std::fprintf(stderr, "unknown --transport %s (inproc|socket)\n",
                  transport.c_str());
     std::exit(2);
   }
+  // Egress coalescing (--coalesce-bytes 0 turns it off).
+  cfg.coalesce_bytes = static_cast<std::size_t>(
+      a.geti("coalesce-bytes", static_cast<int>(cfg.coalesce_bytes)));
+  cfg.coalesce_flush_us = a.geti("flush-us", cfg.coalesce_flush_us);
   // Chaos engineering: a seeded deterministic fault schedule plus the
   // reliable-delivery protocol that tolerates it.
-  opt.fault_plan.seed = static_cast<std::uint64_t>(a.geti("chaos-seed", 0));
-  opt.fault_plan.drop = a.getd("drop", 0.0);
-  opt.fault_plan.dup = a.getd("dup", 0.0);
-  opt.fault_plan.delay = a.getd("delay", 0.0);
-  opt.fault_plan.reorder = a.getd("reorder", 0.0);
-  opt.fault_plan.delay_us = a.geti("delay-us", opt.fault_plan.delay_us);
+  cfg.fault_plan.seed = static_cast<std::uint64_t>(a.geti("chaos-seed", 0));
+  cfg.fault_plan.drop = a.getd("drop", 0.0);
+  cfg.fault_plan.dup = a.getd("dup", 0.0);
+  cfg.fault_plan.delay = a.getd("delay", 0.0);
+  cfg.fault_plan.reorder = a.getd("reorder", 0.0);
+  cfg.fault_plan.delay_us = a.geti("delay-us", cfg.fault_plan.delay_us);
   // Process-level fault + the recovery budget that absorbs it.
-  opt.fault_plan.kill_rank = a.geti("kill-node", opt.fault_plan.kill_rank);
-  opt.fault_plan.kill_after = a.geti("kill-after", 0);
-  opt.reliable_transport = a.geti("reliable", 0) != 0;
-  opt.retransmit_timeout_us = a.geti("rto-us", opt.retransmit_timeout_us);
-  opt.max_retransmits = a.geti("max-retransmits", opt.max_retransmits);
-  opt.max_respawns = a.geti("max-respawns", opt.max_respawns);
-  opt.replay_log_bytes = static_cast<std::size_t>(a.geti(
+  cfg.fault_plan.kill_rank = a.geti("kill-node", cfg.fault_plan.kill_rank);
+  cfg.fault_plan.kill_after = a.geti("kill-after", 0);
+  cfg.reliable_transport = a.geti("reliable", 0) != 0;
+  cfg.retransmit_timeout_us = a.geti("rto-us", cfg.retransmit_timeout_us);
+  cfg.max_retransmits = a.geti("max-retransmits", cfg.max_retransmits);
+  cfg.max_respawns = a.geti("max-respawns", cfg.max_respawns);
+  cfg.replay_log_bytes = static_cast<std::size_t>(a.geti(
                              "replay-log-mb",
-                             static_cast<int>(opt.replay_log_bytes >> 20)))
+                             static_cast<int>(cfg.replay_log_bytes >> 20)))
                          << 20;
-  opt.heartbeat_timeout_seconds =
-      a.getd("hb-timeout", opt.heartbeat_timeout_seconds);
-  if (opt.fault_plan.any() && !opt.reliable_transport) {
+  cfg.heartbeat_timeout_seconds =
+      a.getd("hb-timeout", cfg.heartbeat_timeout_seconds);
+  if (cfg.fault_plan.any() && !cfg.reliable_transport) {
     std::fprintf(stderr,
                  "warning: fault injection without --reliable; expect a "
                  "watchdog RunError on lossy schedules\n");
@@ -185,24 +195,10 @@ void print_recovery(const prt::Vsa::RunStats& stats, int max_respawns) {
 
 vsaqr::TreeQrOptions qr_options(const Args& a) {
   vsaqr::TreeQrOptions opt;
+  runtime_options(opt, a);
   opt.tree = tree_config(a);
   opt.ib = a.geti("ib", 32);
-  opt.nodes = a.geti("nodes", 1);
-  opt.workers_per_node = a.geti("workers", 2);
-  opt.scheduling = a.gets("sched", "lazy") == "aggressive"
-                       ? prt::Scheduling::Aggressive
-                       : prt::Scheduling::Lazy;
-  opt.trace = a.has("trace");
-  opt.graph_check = a.geti("graph-check", 1) != 0;
-  opt.channel_impl = a.gets("channel", "spsc") == "mutex"
-                         ? prt::ChannelImpl::Mutex
-                         : prt::ChannelImpl::Spsc;
-  opt.spin_us = a.geti("spin-us", opt.spin_us);
-  transport_options(opt, a);
-  // Egress coalescing (--coalesce-bytes 0 turns it off).
-  opt.coalesce_bytes = static_cast<std::size_t>(
-      a.geti("coalesce-bytes", static_cast<int>(opt.coalesce_bytes)));
-  opt.coalesce_flush_us = a.geti("flush-us", opt.coalesce_flush_us);
+  opt.trace = a.has("trace");  // `factor` writes the events to CSV
   return opt;
 }
 
@@ -282,11 +278,9 @@ int run_batch(const Args& a, const char* prec) {
     return 2;
   }
   vsaqr::BatchOptions opt;
+  runtime_options(opt, a);
   opt.ib = a.geti("ib", 32);
-  opt.nodes = a.geti("nodes", 1);
-  opt.workers_per_node = a.geti("workers", 2);
   opt.chunk = a.geti("chunk", 0);
-  opt.graph_check = a.geti("graph-check", 1) != 0;
   opt.record_latency = true;
 
   std::vector<MatrixT<T>> mats, tfac;
@@ -382,10 +376,7 @@ int cmd_chol(const Args& a) {
   const int nb = a.geti("nb", 128);
   Matrix spd = chol::random_spd(n, a.geti("seed", 1));
   chol::VsaCholOptions opt;
-  opt.nodes = a.geti("nodes", 1);
-  opt.workers_per_node = a.geti("workers", 2);
-  opt.graph_check = a.geti("graph-check", 1) != 0;
-  transport_options(opt, a);
+  runtime_options(opt, a);
   auto run = chol::vsa_cholesky(TileMatrix::from_dense(spd.view(), nb), opt);
   print_recovery(run.stats, opt.max_respawns);
   Matrix l = chol::extract_l(run.l);
@@ -410,10 +401,7 @@ int cmd_lu(const Args& a) {
   const int nb = a.geti("nb", 128);
   Matrix m = lu::random_diag_dominant(n, n, a.geti("seed", 1));
   lu::VsaLuOptions opt;
-  opt.nodes = a.geti("nodes", 1);
-  opt.workers_per_node = a.geti("workers", 2);
-  opt.graph_check = a.geti("graph-check", 1) != 0;
-  transport_options(opt, a);
+  runtime_options(opt, a);
   auto run = lu::vsa_lu(TileMatrix::from_dense(m.view(), nb), opt);
   print_recovery(run.stats, opt.max_respawns);
   // Verify by solving a planted system through the factors.
@@ -481,17 +469,6 @@ int main(int argc, char** argv) {
   // the equivalent std::string comparisons under -O3).
   const char* cmd = argv[1];
   const Args a = parse(argc, argv, 2);
-  // Process-wide compute-kernel A/B switch, the analogue of --channel for
-  // the runtime: every command funnels its flops through blas::gemm.
-  const std::string gemm = a.gets("gemm", "packed");
-  if (gemm == "ref") {
-    blas::set_gemm_impl(blas::GemmImpl::Ref);
-  } else if (gemm == "packed") {
-    blas::set_gemm_impl(blas::GemmImpl::Packed);
-  } else {
-    std::fprintf(stderr, "unknown --gemm %s (packed|ref)\n", gemm.c_str());
-    return 2;
-  }
   // Kernel ISA selection. Unlike the PQR_KERNEL_ISA env override (which
   // warns and falls back), the CLI rejects bad or unsupported values.
   const std::string isa_arg = a.gets("kernel-isa", "");
